@@ -62,20 +62,6 @@ pub fn triple_weight_sum_words(a: &[u64], b: &[u64], mask: &[u64], weights: &[f6
     sum
 }
 
-/// FNV-1a signature over packed row words (see
-/// [`ActivationMatrix::row_signature`]).
-#[inline]
-pub fn row_signature_words(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &w in words {
-        for byte in w.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// A dense `rows × n_bits` binary matrix, one bit per (instance, rule) pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActivationMatrix {
@@ -326,12 +312,6 @@ impl ActivationMatrix {
         }
     }
 
-    /// A stable 64-bit signature of a row, used to group identical
-    /// activation vectors (FNV-1a over the packed words).
-    pub fn row_signature(&self, row: usize) -> u64 {
-        row_signature_words(self.row_words(row))
-    }
-
     /// Builds a word mask selecting the given bit indices.
     pub fn build_mask(n_bits: usize, bits: impl IntoIterator<Item = usize>) -> Vec<u64> {
         let mut mask = vec![0u64; n_bits.div_ceil(64)];
@@ -389,18 +369,6 @@ mod tests {
         // Full mask includes bit 2 for test row.
         let full = ActivationMatrix::build_mask(4, 0..4);
         assert_eq!(test.masked_weight_sum(0, &full, &weights), 3.5);
-    }
-
-    #[test]
-    fn signatures_group_identical_rows() {
-        let mut m = ActivationMatrix::zeros(0, 70);
-        let row_a: Vec<bool> = (0..70).map(|i| i % 3 == 0).collect();
-        let row_b: Vec<bool> = (0..70).map(|i| i % 3 == 1).collect();
-        m.push_row(&row_a).unwrap();
-        m.push_row(&row_b).unwrap();
-        m.push_row(&row_a).unwrap();
-        assert_eq!(m.row_signature(0), m.row_signature(2));
-        assert_ne!(m.row_signature(0), m.row_signature(1));
     }
 
     #[test]

@@ -513,7 +513,7 @@ pub struct UploadProfile {
     /// asks the fair question — is this client incoherent *beyond what its
     /// claimed labels predict*?
     pub incoherence_excess: f64,
-    /// Largest fraction of this client's rows whose `(signature, label)`
+    /// Largest fraction of this client's rows whose `(row words, label)`
     /// key also appears in some single peer's upload.
     pub peer_match_frac: f64,
     /// The peer achieving `peer_match_frac` (`None` with no peers or no
@@ -719,8 +719,11 @@ pub fn audit_uploads(
         })
         .collect();
 
-    // Per-upload signals + (signature, label) multisets for containment.
-    let mut keys: Vec<HashMap<(u64, u32), u32>> = Vec::with_capacity(uploads.len());
+    // Per-upload signals + (row, label) multisets for containment. Each
+    // distinct (row words, label) pair is interned once into a dense id, so
+    // the keys are exact and the per-upload maps hash a single integer.
+    let mut interned: HashMap<(&[u64], u32), usize> = HashMap::new();
+    let mut keys: Vec<HashMap<usize, u32>> = Vec::with_capacity(uploads.len());
     let mut profiles: Vec<UploadProfile> = Vec::with_capacity(uploads.len());
     // Per-upload, per-class coherence tallies (rows judged / rows
     // incoherent) for the leave-one-out incoherence expectation.
@@ -736,7 +739,7 @@ pub fn audit_uploads(
         let mut coherence_rows = 0usize;
         let mut class_rows = vec![0usize; n_classes];
         let mut class_incoh = vec![0usize; n_classes];
-        let mut map: HashMap<(u64, u32), u32> = HashMap::new();
+        let mut map: HashMap<usize, u32> = HashMap::new();
         for r in 0..rows {
             density_sum += up.activations.row_count(r) as f64 / n_bits as f64;
             let label = up.labels[r] as usize;
@@ -758,7 +761,9 @@ pub fn audit_uploads(
                     class_incoh[label] += 1;
                 }
             }
-            *map.entry((up.activations.row_signature(r), up.labels[r])).or_insert(0) += 1;
+            let next = interned.len();
+            let id = *interned.entry((up.activations.row_words(r), up.labels[r])).or_insert(next);
+            *map.entry(id).or_insert(0) += 1;
         }
         keys.push(map);
         coh_rows_by_class.push(class_rows);

@@ -35,6 +35,9 @@ use crate::model::RuleModel;
 use crate::parallel::plan_threads;
 use crate::shard::ShardedActivations;
 use ctfl_rulemine::{assign_groups, max_miner, MaxMinerConfig, TransactionSet};
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 /// Strategy for organising the `|D_te| × |D_N|` comparison.
 ///
@@ -44,8 +47,8 @@ use ctfl_rulemine::{assign_groups, max_miner, MaxMinerConfig, TransactionSet};
 pub enum GroupingStrategy {
     /// Compare every test instance against every training instance.
     BruteForce,
-    /// Deduplicate test instances with identical activation signatures and
-    /// traced class; each unique signature is traced once.
+    /// Deduplicate test instances with identical activation rows and traced
+    /// class; each unique row is traced once.
     SignatureDedup,
     /// Paper Section III-C: mine maximal frequent activated-rule sets over
     /// the test activation vectors with Max-Miner, partition test instances
@@ -178,6 +181,7 @@ impl<'a> TraceInputs<'a> {
                 actual: self.weights.len(),
             });
         }
+        validate_weights(self.weights)?;
         for &c in self.client_of {
             if c as usize >= self.n_clients {
                 return Err(CoreError::InvalidParameter {
@@ -436,7 +440,7 @@ pub fn trace(inputs: &TraceInputs<'_>, config: &TraceConfig) -> Result<TraceOutc
         weights: inputs.weights,
         class_masks: inputs.class_masks,
     };
-    Ok(trace_kernel(&train, inputs.n_clients, &test, config))
+    Ok(trace_kernel::<_, RandomState>(&train, inputs.n_clients, &test, config))
 }
 
 /// Inputs for tracing directly over a sharded per-client store: the
@@ -491,6 +495,7 @@ impl ShardedTraceInputs<'_> {
                 actual: self.weights.len(),
             });
         }
+        validate_weights(self.weights)?;
         let n_classes = self.class_masks.len();
         for shard in self.train.shards() {
             if shard.client as usize >= self.n_clients {
@@ -525,6 +530,18 @@ impl ShardedTraceInputs<'_> {
     }
 }
 
+/// Rule weights must be finite and non-negative — the same rule
+/// [`RuleModel`] enforces, and the premise of the kernel's popcount screen.
+fn validate_weights(weights: &[f64]) -> Result<()> {
+    match weights.iter().find(|w| !w.is_finite() || **w < 0.0) {
+        Some(w) => Err(CoreError::InvalidParameter {
+            name: "weights",
+            message: format!("weights must be finite and >= 0, got {w}"),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Runs the tracing pass zero-copy over a sharded per-client store.
 ///
 /// Bit-identical to flattening the store with
@@ -541,7 +558,7 @@ pub fn trace_sharded(inputs: &ShardedTraceInputs<'_>, config: &TraceConfig) -> R
         weights: inputs.weights,
         class_masks: inputs.class_masks,
     };
-    Ok(trace_kernel(inputs.train, inputs.n_clients, &test, config))
+    Ok(trace_kernel::<_, RandomState>(inputs.train, inputs.n_clients, &test, config))
 }
 
 /// Pinned naive oracle for [`trace`]: pair-by-pair, per-bit matrix reads,
@@ -665,8 +682,10 @@ impl TraceAcc {
     }
 }
 
-/// The word-parallel trace kernel, generic over the training store.
-fn trace_kernel<T: TrainAccess>(
+/// The word-parallel trace kernel, generic over the training store. `S`
+/// hashes the test-row grouping keys; it can change only how fast groups
+/// are found, never which rows share one.
+fn trace_kernel<T: TrainAccess, S: BuildHasher + Default>(
     train: &T,
     n_clients: usize,
     test: &TestSide<'_>,
@@ -702,19 +721,14 @@ fn trace_kernel<T: TrainAccess>(
         GroupingStrategy::BruteForce => {
             (0..n_test).map(|t| WorkGroup { members: vec![t as u32], candidates: None }).collect()
         }
-        GroupingStrategy::SignatureDedup => {
-            use std::collections::HashMap;
-            let mut map: HashMap<(usize, u64), Vec<u32>> = HashMap::new();
-            for t in 0..n_test {
-                let key = (traced_class[t], test.acts.row_signature(t));
-                map.entry(key).or_default().push(t as u32);
-            }
-            map.into_values().map(|members| WorkGroup { members, candidates: None }).collect()
-        }
+        GroupingStrategy::SignatureDedup => row_groups::<S>(test.acts, &traced_class)
+            .into_iter()
+            .map(|(_, members)| WorkGroup { members, candidates: None })
+            .collect(),
         GroupingStrategy::FrequentRuleSets { min_support } => build_frequent_groups(
             train,
             test,
-            &traced_class,
+            row_groups::<S>(test.acts, &traced_class),
             &denoms,
             min_support,
             config.tau_w,
@@ -785,9 +799,86 @@ fn trace_kernel<T: TrainAccess>(
     }
 }
 
+/// Groups test rows by `(traced class, activation words)`; members of one
+/// group have the same related set. The key holds the row words themselves,
+/// so a hash collision can only slow a lookup, never merge distinct rows.
+/// Groups are returned in order of their first member.
+fn row_groups<S: BuildHasher + Default>(
+    acts: &ActivationMatrix,
+    traced_class: &[usize],
+) -> Vec<(usize, Vec<u32>)> {
+    let mut map: HashMap<(usize, &[u64]), Vec<u32>, S> = HashMap::default();
+    for t in 0..acts.n_rows() {
+        map.entry((traced_class[t], acts.row_words(t))).or_default().push(t as u32);
+    }
+    let mut groups: Vec<(usize, Vec<u32>)> = map.into_iter().map(|((c, _), m)| (c, m)).collect();
+    groups.sort_unstable_by_key(|(_, members)| members[0]);
+    groups
+}
+
+/// Entries per word in a [`PopcountScreen`] table, one per popcount `0..=64`.
+const SCREEN_ENTRIES: usize = 65;
+
+/// The exact per-word popcount screen of one test group (DESIGN.md §15).
+///
+/// For the group's masked test words `t`, entry `k` of word `w`'s table is
+/// the sum of the `k` largest weights among `t_w`'s set bits. A training
+/// row shares exactly `popcount(t_w & row_w)` of those bits, so
+/// `Σ_w table_w[popcount(t_w & row_w)]` is at least its Eq. 4 numerator.
+struct PopcountScreen {
+    masked: Vec<u64>,
+    table: Vec<f64>,
+}
+
+impl PopcountScreen {
+    fn new(rep_words: &[u64], mask: &[u64], weights: &[f64]) -> Self {
+        let masked: Vec<u64> = rep_words.iter().zip(mask).map(|(a, m)| a & m).collect();
+        let mut table = vec![0.0; masked.len() * SCREEN_ENTRIES];
+        let mut top = Vec::with_capacity(64);
+        let words = masked.iter().zip(table.chunks_exact_mut(SCREEN_ENTRIES));
+        for (wi, (&word, entries)) in words.enumerate() {
+            top.clear();
+            let mut bits = word;
+            while bits != 0 {
+                top.push(weights[wi * 64 + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+            }
+            top.sort_unstable_by(|a: &f64, b| b.total_cmp(a));
+            for k in 1..SCREEN_ENTRIES {
+                entries[k] = entries[k - 1] + top.get(k - 1).copied().unwrap_or(0.0);
+            }
+        }
+        PopcountScreen { masked, table }
+    }
+
+    /// Upper bound on `triple_weight_sum_words(rep, row, mask, weights)`,
+    /// up to f64 rounding.
+    #[inline]
+    fn bound(&self, row: &[u64]) -> f64 {
+        let mut ub = 0.0;
+        for ((t, r), entries) in self.masked.iter().zip(row).zip(self.table.chunks_exact(SCREEN_ENTRIES)) {
+            ub += entries[(t & r).count_ones() as usize];
+        }
+        ub
+    }
+}
+
+/// Slack of the screen's cut, as a fraction of the group's denominator.
+///
+/// The exact numerator is an f64 sum of at most `n_rules` of the
+/// denominator's (non-negative) weights; the bound sums per-word prefix
+/// sums of at most 64 of them over at most `n_rules` words. A sum of `k`
+/// non-negative terms is within `k · ε/2` of its total, so the two are off
+/// their real values by under `(n_rules + 32) · ε · denom` together. The
+/// slack is at least twice that, and 1e-9 alone covers widths below ~2M
+/// rules.
+fn screen_slack(n_rules: usize) -> f64 {
+    1e-9f64.max(2.0 * (n_rules + 128) as f64 * f64::EPSILON)
+}
+
 struct WorkGroup {
     /// Test rows in this group. All members share the same traced class and
-    /// activation signature (SignatureDedup) or a frequent rule subset
+    /// activation row (SignatureDedup) or a frequent rule subset
     /// (FrequentRuleSets). BruteForce uses singleton groups.
     members: Vec<u32>,
     /// Optional prefiltered candidate training rows (admissible superset of
@@ -826,6 +917,10 @@ fn trace_group_into<T: TrainAccess>(
 
     if denom > 0.0 {
         let threshold = config.tau_w * denom - 1e-12; // tolerate FP rounding at equality
+        // A row whose screen bound falls below `cut` cannot reach
+        // `threshold`; every other row is decided by the exact sum.
+        let screen = PopcountScreen::new(rep_words, mask, test.weights);
+        let cut = threshold - screen_slack(n_rules) * denom;
         let scan: &[u32] = match &group.candidates {
             Some(c) => c,
             None => &train_by_class[c],
@@ -833,7 +928,11 @@ fn trace_group_into<T: TrainAccess>(
         for &tr in scan {
             let tr = tr as usize;
             debug_assert_eq!(train.label(tr) as usize, c);
-            let num = triple_weight_sum_words(rep_words, train.row_words(tr), mask, test.weights);
+            let row = train.row_words(tr);
+            if screen.bound(row) < cut {
+                continue;
+            }
+            let num = triple_weight_sum_words(rep_words, row, mask, test.weights);
             if num >= threshold {
                 related_train.push(tr as u32);
                 related_per_client[train.client(tr) as usize] += 1;
@@ -890,40 +989,32 @@ fn trace_group_into<T: TrainAccess>(
 /// Within each traced class, test activation vectors (restricted to the
 /// class mask) form transactions; Max-Miner yields maximal frequent rule
 /// sets; test rows sharing both the heaviest covering set *and* the full
-/// activation signature form a group. The frequent set `F` gives an
-/// admissible candidate prefilter: a training row can relate to a member
-/// `t` only if its weighted overlap with `F` is at least
-/// `weight(F) - (1 - τ_w) · denom(t)`.
+/// activation row form a group. The frequent set `F` gives an admissible
+/// candidate prefilter: a training row can relate to a member `t` only if
+/// its weighted overlap with `F` is at least `weight(F) - (1 - τ_w) ·
+/// denom(t)`.
+///
+/// `row_groups` is the `(class, members)` dedup of the test rows: members
+/// of one group have identical related sets, so the frequent-set machinery
+/// only needs to run per unique row.
 fn build_frequent_groups<T: TrainAccess>(
     train: &T,
     test: &TestSide<'_>,
-    traced_class: &[usize],
+    row_groups: Vec<(usize, Vec<u32>)>,
     denoms: &[f64],
     min_support: f64,
     tau_w: f64,
     train_by_class: &[Vec<u32>],
 ) -> Vec<WorkGroup> {
-    use std::collections::HashMap;
-    let n_test = test.acts.n_rows();
     let n_rules = test.acts.n_bits();
     let n_classes = test.class_masks.len();
-
-    // First dedup by (class, signature) — members of a signature group have
-    // identical related sets, so the frequent-set machinery only needs to
-    // run per unique signature.
-    let mut sig_groups: HashMap<(usize, u64), Vec<u32>> = HashMap::new();
-    for t in 0..n_test {
-        let key = (traced_class[t], test.acts.row_signature(t));
-        sig_groups.entry(key).or_default().push(t as u32);
+    let mut reps_by_class: Vec<Vec<Vec<u32>>> = vec![Vec::new(); n_classes];
+    for (c, members) in row_groups {
+        reps_by_class[c].push(members);
     }
 
     let mut out = Vec::new();
-    for c in 0..n_classes {
-        let reps: Vec<Vec<u32>> = sig_groups
-            .iter()
-            .filter(|((cls, _), _)| *cls == c)
-            .map(|(_, members)| members.clone())
-            .collect();
+    for (c, reps) in reps_by_class.into_iter().enumerate() {
         if reps.is_empty() {
             continue;
         }
@@ -1330,6 +1421,129 @@ mod tests {
             class_masks: &masks,
         };
         assert!(trace_sharded(&inputs, &TraceConfig::default()).is_err());
+    }
+
+    /// Hashes every key to 0, so every grouping lookup collides.
+    #[derive(Default)]
+    struct ConstHasher;
+
+    impl std::hash::Hasher for ConstHasher {
+        fn finish(&self) -> u64 {
+            0
+        }
+        fn write(&mut self, _: &[u8]) {}
+    }
+
+    type ConstState = std::hash::BuildHasherDefault<ConstHasher>;
+
+    #[test]
+    fn colliding_group_keys_keep_distinct_rows_apart() {
+        let (train, labels, clients, _, _, _, weights, masks) = figure2();
+        // Twelve test rows over six distinct (class, row) keys; rows 0/6
+        // share words but not the traced class.
+        let rows = [[0, 1, 0, 0], [0, 0, 1, 1], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]];
+        let mut test = ActivationMatrix::zeros(0, 4);
+        let (mut test_labels, mut preds) = (Vec::new(), Vec::new());
+        for (i, row) in rows.iter().cycle().take(12).enumerate() {
+            test.push_row(&row.map(|b| b == 1)).unwrap();
+            test_labels.push(1);
+            preds.push(if i < 6 { 1 } else { 0 });
+        }
+        let traced: Vec<usize> = preds.clone();
+
+        let groups = row_groups::<ConstState>(&test, &traced);
+        let key = |t: u32| (traced[t as usize], test.row_words(t as usize));
+        let mut keys: Vec<_> = groups.iter().map(|(_, m)| key(m[0])).collect();
+        for (c, members) in &groups {
+            assert!(members.iter().all(|&t| key(t) == key(members[0]) && traced[t as usize] == *c));
+        }
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), groups.len(), "two groups share a key");
+        assert_eq!(groups.len(), 10, "rows 0 and 5 hold the same words");
+
+        let inputs = TraceInputs {
+            train_acts: &train,
+            train_labels: &labels,
+            client_of: &clients,
+            n_clients: 3,
+            test_acts: &test,
+            test_labels: &test_labels,
+            predictions: &preds,
+            weights: &weights,
+            class_masks: &masks,
+        };
+        let train_side = MonoTrain { acts: &train, labels: &labels, client_of: &clients };
+        let test_side = TestSide {
+            acts: &test,
+            labels: &test_labels,
+            predictions: &preds,
+            weights: &weights,
+            class_masks: &masks,
+        };
+        for grouping in
+            [GroupingStrategy::SignatureDedup, GroupingStrategy::FrequentRuleSets { min_support: 0.25 }]
+        {
+            let config = TraceConfig { tau_w: 0.6, parallel: false, threads: 0, grouping };
+            let colliding = trace_kernel::<_, ConstState>(&train_side, 3, &test_side, &config);
+            assert_eq!(colliding, trace_reference(&inputs, &config).unwrap(), "{grouping:?}");
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_or_negative_weights() {
+        let (train, labels, clients, test, test_labels, preds, _, masks) = figure2();
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let weights = [1.0, bad, 1.0, 0.5];
+            let inputs = TraceInputs {
+                train_acts: &train,
+                train_labels: &labels,
+                client_of: &clients,
+                n_clients: 3,
+                test_acts: &test,
+                test_labels: &test_labels,
+                predictions: &preds,
+                weights: &weights,
+                class_masks: &masks,
+            };
+            assert!(
+                matches!(
+                    trace(&inputs, &TraceConfig::default()),
+                    Err(CoreError::InvalidParameter { name: "weights", .. })
+                ),
+                "weight {bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn sharded_inputs_reject_non_finite_or_negative_weights() {
+        let (train, labels, _, test, test_labels, preds, _, masks) = figure2();
+        let store = ShardedActivations::from_shards(vec![ActivationShard {
+            client: 0,
+            acts: train.clone(),
+            labels: labels.clone(),
+        }])
+        .unwrap();
+        for bad in [f64::NEG_INFINITY, f64::NAN, -0.5] {
+            let weights = [1.0, 1.0, bad, 0.5];
+            let inputs = ShardedTraceInputs {
+                train: &store,
+                n_clients: 1,
+                test_acts: &test,
+                test_labels: &test_labels,
+                predictions: &preds,
+                weights: &weights,
+                class_masks: &masks,
+            };
+            assert!(
+                matches!(
+                    trace_sharded(&inputs, &TraceConfig::default()),
+                    Err(CoreError::InvalidParameter { name: "weights", .. })
+                ),
+                "weight {bad}"
+            );
+        }
     }
 
     #[test]

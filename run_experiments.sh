@@ -84,6 +84,11 @@ diff_gate() {
 check() {
     cmd_gate "build (release, all targets)" cargo build --workspace --release
     cmd_gate "tests (entire workspace)" cargo test -q --workspace
+    # The benchmark's own suite checks the fast trace kernel against the
+    # per-bit oracle on trained-width (228-rule) inputs and the pinned score
+    # hashes; no workspace test traces inputs that wide.
+    cmd_gate "perfbench (fast-vs-oracle at trained width)" \
+        cargo test --release --offline --manifest-path perfbench/Cargo.toml
     cmd_gate "lints (clippy, warnings are errors)" \
         cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -118,7 +123,9 @@ check() {
     diff_gate "gaming sweep (upload-level score attacks)" gaming_sweep GAMING_OK merge
 
     # Three gates inside the binary: bit-identity of trained parameters,
-    # >= 2x median wall-clock speedup, and pre-encoded coalition parity.
+    # >= 2x median wall-clock speedup, and engine-stepped coalition parity
+    # (a coalition retrained round by round through a FederationEngine
+    # session must reproduce the one-shot driver's parameter bits).
     # Stdout carries only deterministic content (hashes, verdicts) so the
     # double run can byte-diff it; timings go to stderr and the JSON report.
     diff_gate "train speed (data plane vs naive)" train_speed TRAIN_SPEED_OK drop

@@ -229,6 +229,30 @@ fn parallel_trace_is_bitwise_equal_to_serial_across_thread_counts() {
     );
 }
 
+/// The setup's training rows as a contiguous sharded store, plus the row
+/// ownership that layout implies (the random per-row clients are
+/// overridden: shards may be empty and several may belong to one client).
+fn shard_store(setup: &RandomTraceSetup) -> (ShardedActivations, Vec<u32>) {
+    let n_train = setup.train_rows.len();
+    let mut bounds = vec![0usize];
+    bounds.extend_from_slice(&setup.shard_cuts);
+    bounds.push(n_train);
+    let mut shards = Vec::new();
+    let mut client_of = Vec::with_capacity(n_train);
+    for (s, win) in bounds.windows(2).enumerate() {
+        let (lo, hi) = (win[0], win[1]);
+        let mut acts = ActivationMatrix::zeros(0, setup.n_rules);
+        let mut labels = Vec::new();
+        for r in lo..hi {
+            acts.push_row(&setup.train_rows[r].0).unwrap();
+            labels.push(setup.train_rows[r].1);
+            client_of.push(setup.shard_clients[s]);
+        }
+        shards.push(ActivationShard { client: setup.shard_clients[s], acts, labels });
+    }
+    (ShardedActivations::from_shards(shards).unwrap(), client_of)
+}
+
 #[test]
 fn sharded_trace_is_bitwise_equal_to_monolithic_on_random_shardings() {
     check(
@@ -237,27 +261,8 @@ fn sharded_trace_is_bitwise_equal_to_monolithic_on_random_shardings() {
         trace_setup,
         |setup| {
             let b = build(setup);
-            // Re-map row ownership to the contiguous sharding (the random
-            // per-row clients are overridden by the shard layout).
-            let n_train = setup.train_rows.len();
-            let mut bounds = vec![0usize];
-            bounds.extend_from_slice(&setup.shard_cuts);
-            bounds.push(n_train);
-            let mut shards = Vec::new();
-            let mut client_of = Vec::with_capacity(n_train);
-            for (s, win) in bounds.windows(2).enumerate() {
-                let (lo, hi) = (win[0], win[1]);
-                let mut acts = ActivationMatrix::zeros(0, setup.n_rules);
-                let mut labels = Vec::new();
-                for r in lo..hi {
-                    acts.push_row(&setup.train_rows[r].0).unwrap();
-                    labels.push(setup.train_rows[r].1);
-                    client_of.push(setup.shard_clients[s]);
-                }
-                shards.push(ActivationShard { client: setup.shard_clients[s], acts, labels });
-            }
-            let store = ShardedActivations::from_shards(shards).unwrap();
-            prop_assert_eq!(store.n_rows(), n_train);
+            let (store, client_of) = shard_store(setup);
+            prop_assert_eq!(store.n_rows(), setup.train_rows.len());
 
             let config = TraceConfig {
                 tau_w: setup.tau_w,
@@ -291,6 +296,117 @@ fn sharded_trace_is_bitwise_equal_to_monolithic_on_random_shardings() {
             Ok(())
         },
     );
+}
+
+// ---------- the kernel's popcount screen on adversarial inputs ----------
+
+/// Activation widths on both sides of the 64-bit word boundaries.
+const SCREEN_WIDTHS: [usize; 6] = [1, 63, 64, 65, 129, 260];
+
+/// Inputs that sit the Eq. 4 numerator on or next to the threshold, where
+/// an inadmissible screen would drop a related row.
+fn screen_setup(g: &mut Gen) -> RandomTraceSetup {
+    let n_rules = SCREEN_WIDTHS[g.usize_in(0, SCREEN_WIDTHS.len() - 1)];
+    let (weights, tau_w) = if g.bool() {
+        // Powers of two add exactly, so τ_w in {0.5, 1} makes exact ties.
+        let weights = g.vec(n_rules, |g| 2f64.powi(g.usize_in(0, 6) as i32 - 3));
+        (weights, [0.5, 1.0][g.usize_in(0, 1)])
+    } else {
+        // Fifteen decades of weight, with zeros.
+        let weights = g.vec(n_rules, |g| {
+            if g.usize_in(0, 5) == 0 {
+                0.0
+            } else {
+                10f64.powf(g.f64_in(-9.0, 6.0))
+            }
+        });
+        let tau_w = [0.5, 0.9, 1.0, g.f64_in(0.3, 1.0)][g.usize_in(0, 3)];
+        (weights, tau_w)
+    };
+    let n_clients = g.usize_in(1, 4);
+    let density = g.f64_in(0.05, 0.6);
+    let row = |g: &mut Gen| g.vec(n_rules, |g| g.f64_in(0.0, 1.0) < density);
+    let n_test = g.len_in(1, 10);
+    let test_rows = g.vec(n_test, |g| (row(g), g.u32_in(0, 1), g.usize_in(0, 1)));
+    // Most training rows are a test row with up to three bits flipped,
+    // which lands their numerators next to that row's threshold.
+    let n_train = g.len_in(1, 40);
+    let train_rows = g.vec(n_train, |g| {
+        let bits = if g.usize_in(0, 3) == 0 {
+            row(g)
+        } else {
+            let mut bits = test_rows[g.usize_in(0, n_test - 1)].0.clone();
+            for _ in 0..g.usize_in(0, 3) {
+                let b = g.usize_in(0, n_rules - 1);
+                bits[b] = !bits[b];
+            }
+            bits
+        };
+        (bits, g.u32_in(0, 1), 0) // the shard layout sets the client
+    });
+    let n_shards = g.usize_in(1, 5);
+    let mut shard_cuts = g.vec(n_shards - 1, |g| g.usize_in(0, n_train));
+    shard_cuts.sort_unstable();
+    let shard_clients = g.vec(n_shards, |g| g.u32_in(0, n_clients as u32 - 1));
+    RandomTraceSetup {
+        n_rules,
+        n_clients,
+        train_rows,
+        test_rows,
+        weights,
+        tau_w,
+        shard_clients,
+        shard_cuts,
+    }
+}
+
+#[test]
+fn screened_kernel_matches_oracle_on_adversarial_inputs() {
+    check("screened_kernel_matches_oracle_on_adversarial_inputs", 96, screen_setup, |setup| {
+        let b = build(setup);
+        let (store, client_of) = shard_store(setup);
+        let mono = TraceInputs {
+            train_acts: &b.train,
+            train_labels: &b.train_labels,
+            client_of: &client_of,
+            n_clients: setup.n_clients,
+            test_acts: &b.test,
+            test_labels: &b.test_labels,
+            predictions: &b.predictions,
+            weights: &setup.weights,
+            class_masks: &b.class_masks,
+        };
+        let sharded = ShardedTraceInputs {
+            train: &store,
+            n_clients: setup.n_clients,
+            test_acts: &b.test,
+            test_labels: &b.test_labels,
+            predictions: &b.predictions,
+            weights: &setup.weights,
+            class_masks: &b.class_masks,
+        };
+        let base = TraceConfig {
+            tau_w: setup.tau_w,
+            parallel: true,
+            threads: 1,
+            grouping: GroupingStrategy::BruteForce,
+        };
+        let oracle = trace_reference(&mono, &base).unwrap();
+        for grouping in [
+            GroupingStrategy::BruteForce,
+            GroupingStrategy::SignatureDedup,
+            GroupingStrategy::FrequentRuleSets { min_support: 0.3 },
+        ] {
+            for threads in [1usize, 2, 3] {
+                let config = TraceConfig { threads, grouping, ..base };
+                let from_mono = trace(&mono, &config).unwrap();
+                prop_assert!(from_mono == oracle, "monolithic {grouping:?} threads={threads}");
+                let from_store = trace_sharded(&sharded, &config).unwrap();
+                prop_assert!(from_store == oracle, "sharded {grouping:?} threads={threads}");
+            }
+        }
+        Ok(())
+    });
 }
 
 // ---------- parallel coalition sweeps ----------
