@@ -15,7 +15,7 @@
 use crate::activation::ActivationMatrix;
 use crate::allocation::{macro_scores, micro_scores, CreditDirection};
 use crate::error::{CoreError, Result};
-use crate::tracing::TraceOutcome;
+use crate::tracing::{validate_weights, TraceOutcome};
 use std::collections::HashMap;
 
 /// A client's run-level participation record, produced by the federation
@@ -516,8 +516,10 @@ pub struct UploadProfile {
     /// Largest fraction of this client's rows whose `(row words, label)`
     /// key also appears in some single peer's upload.
     pub peer_match_frac: f64,
-    /// The peer achieving `peer_match_frac` (`None` with no peers or no
-    /// matches).
+    /// The peer achieving `peer_match_frac`; the smallest upload index wins
+    /// a tie. When no peer shares a key this is the first other upload at
+    /// fraction 0, which carries no evidence. `None` only when the client
+    /// uploaded 0 rows or the cohort holds no other upload.
     pub matched_peer: Option<usize>,
     /// Rows duplicated beyond the matched peer's own multiplicities — a
     /// squatter that cyclically refills from a smaller victim shows excess;
@@ -657,7 +659,9 @@ fn upper_outliers(values: &[f64], z: f64, margin: f64) -> Vec<usize> {
 ///   FedAvg example-count weights).
 ///
 /// `weights` / `class_masks` are the public model artifacts every client
-/// already has. Flags carry *client ids* (not upload positions).
+/// already has: weights finite and non-negative, each mask one word per 64
+/// rules, or the call fails with a typed error. Flags carry *client ids*
+/// (not upload positions).
 pub fn audit_uploads(
     uploads: &[UploadAuditInput<'_>],
     weights: &[f64],
@@ -666,6 +670,17 @@ pub fn audit_uploads(
     config: &UploadAuditConfig,
 ) -> Result<UploadAuditReport> {
     let n_classes = class_masks.len();
+    validate_weights(weights)?;
+    let words = weights.len().div_ceil(64);
+    for mask in class_masks {
+        if mask.len() != words {
+            return Err(CoreError::LengthMismatch {
+                what: "class mask words",
+                expected: words,
+                actual: mask.len(),
+            });
+        }
+    }
     let mut seen = std::collections::HashSet::new();
     for up in uploads {
         if up.activations.n_bits() != weights.len() {
@@ -705,6 +720,14 @@ pub fn audit_uploads(
             }
         }
     }
+    // Row ids, row counts and upload indices below are `u32`.
+    let total_rows: usize = uploads.iter().map(|up| up.labels.len()).sum();
+    if total_rows.max(uploads.len()) > u32::MAX as usize {
+        return Err(CoreError::InvalidParameter {
+            name: "uploads",
+            message: format!("{total_rows} rows in {} uploads exceed u32 ids", uploads.len()),
+        });
+    }
 
     // Total weight behind each class mask (the self-support denominator).
     let mask_totals: Vec<f64> = class_masks
@@ -721,14 +744,21 @@ pub fn audit_uploads(
 
     // Per-upload signals + (row, label) multisets for containment. Each
     // distinct (row words, label) pair is interned once into a dense id, so
-    // the keys are exact and the per-upload maps hash a single integer.
-    let mut interned: HashMap<(&[u64], u32), usize> = HashMap::new();
-    let mut keys: Vec<HashMap<usize, u32>> = Vec::with_capacity(uploads.len());
-    let mut profiles: Vec<UploadProfile> = Vec::with_capacity(uploads.len());
+    // the keys are exact. Upload `i`'s multiset is its sorted run of
+    // `(id, count)` entries, `entry_id/entry_cnt[entry_off[i]..entry_off[i + 1]]`.
+    let n = uploads.len();
+    let mut interned: HashMap<(&[u64], u32), u32> = HashMap::new();
+    let mut entry_off: Vec<usize> = Vec::with_capacity(n + 1);
+    entry_off.push(0);
+    let mut entry_id: Vec<u32> = Vec::new();
+    let mut entry_cnt: Vec<u32> = Vec::new();
+    let mut row_ids: Vec<u32> = Vec::new();
+    let mut class_support = vec![0.0; n_classes];
+    let mut profiles: Vec<UploadProfile> = Vec::with_capacity(n);
     // Per-upload, per-class coherence tallies (rows judged / rows
     // incoherent) for the leave-one-out incoherence expectation.
-    let mut coh_rows_by_class: Vec<Vec<usize>> = Vec::with_capacity(uploads.len());
-    let mut incoh_by_class: Vec<Vec<usize>> = Vec::with_capacity(uploads.len());
+    let mut coh_rows_by_class: Vec<Vec<usize>> = Vec::with_capacity(n);
+    let mut incoh_by_class: Vec<Vec<usize>> = Vec::with_capacity(n);
     for up in uploads {
         let rows = up.activations.n_rows();
         let n_bits = up.activations.n_bits().max(1);
@@ -739,33 +769,36 @@ pub fn audit_uploads(
         let mut coherence_rows = 0usize;
         let mut class_rows = vec![0usize; n_classes];
         let mut class_incoh = vec![0usize; n_classes];
-        let mut map: HashMap<usize, u32> = HashMap::new();
+        row_ids.clear();
         for r in 0..rows {
             density_sum += up.activations.row_count(r) as f64 / n_bits as f64;
             let label = up.labels[r] as usize;
+            for (s, mask) in class_support.iter_mut().zip(class_masks) {
+                *s = up.activations.masked_weight_sum(r, mask, weights);
+            }
             if mask_totals[label] > 0.0 {
-                support_sum +=
-                    up.activations.masked_weight_sum(r, &class_masks[label], weights)
-                        / mask_totals[label];
+                support_sum += class_support[label] / mask_totals[label];
                 supported_rows += 1;
             }
-            let supports: Vec<f64> = (0..n_classes)
-                .map(|c| up.activations.masked_weight_sum(r, &class_masks[c], weights))
-                .collect();
-            let best = supports.iter().copied().fold(0.0, f64::max);
+            let best = class_support.iter().copied().fold(0.0, f64::max);
             if best > 0.0 {
                 coherence_rows += 1;
                 class_rows[label] += 1;
-                if supports[label] + 1e-12 < best {
+                if class_support[label] + 1e-12 < best {
                     incoherent += 1;
                     class_incoh[label] += 1;
                 }
             }
-            let next = interned.len();
-            let id = *interned.entry((up.activations.row_words(r), up.labels[r])).or_insert(next);
-            *map.entry(id).or_insert(0) += 1;
+            let next = interned.len() as u32;
+            let key = (up.activations.row_words(r), up.labels[r]);
+            row_ids.push(*interned.entry(key).or_insert(next));
         }
-        keys.push(map);
+        row_ids.sort_unstable();
+        for run in row_ids.chunk_by(|a, b| a == b) {
+            entry_id.push(run[0]);
+            entry_cnt.push(run.len() as u32);
+        }
+        entry_off.push(entry_id.len());
         coh_rows_by_class.push(class_rows);
         incoh_by_class.push(class_incoh);
         profiles.push(UploadProfile {
@@ -786,38 +819,76 @@ pub fn audit_uploads(
         });
     }
 
-    // Peer containment: fraction of i's rows whose key exists in j, and the
-    // rows i holds beyond j's multiplicities for the best-matching peer.
-    let n = uploads.len();
+    // Id → holders index (CSR): the uploads holding id `k`, ascending, are
+    // `holders[holder_off[k]..holder_off[k + 1]]`.
+    let mut holder_off = vec![0usize; interned.len() + 1];
+    for &k in &entry_id {
+        holder_off[k as usize + 1] += 1;
+    }
+    for k in 0..interned.len() {
+        holder_off[k + 1] += holder_off[k];
+    }
+    let mut fill = holder_off.clone();
+    let mut holders = vec![0u32; entry_id.len()];
     for i in 0..n {
-        if profiles[i].rows == 0 {
+        for &k in &entry_id[entry_off[i]..entry_off[i + 1]] {
+            holders[fill[k as usize]] = i as u32;
+            fill[k as usize] += 1;
+        }
+    }
+
+    // Peer containment: for each upload `i`, the peer `j` holding the
+    // largest fraction of i's rows (rows whose key also occurs in `j`), and
+    // the rows `i` holds beyond j's multiplicities. Only peers sharing a key
+    // are visited: walking i's ids through the holders index accumulates
+    // `matched[j]` for exactly those, so the cost is Σ over i's ids of the
+    // id's holder count — never more than the rows_i lookups per peer of
+    // the naive pairwise scan, and equal to it only when every upload holds
+    // the same keys. Ties go to the smallest upload index; with no shared
+    // key every peer is at 0 and the first upload other than `i` is kept —
+    // the naive ascending strict-`>` scan's winners exactly.
+    let mut peer_pos: Vec<Option<usize>> = vec![None; n];
+    let mut matched = vec![0u32; n];
+    let mut touched: Vec<usize> = Vec::new();
+    for i in 0..n {
+        let rows = profiles[i].rows;
+        if rows == 0 || n < 2 {
             continue;
         }
-        let mut best: Option<(f64, usize)> = None;
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            let matched: u32 = keys[i]
-                .iter()
-                .filter(|(k, _)| keys[j].contains_key(k))
-                .map(|(_, &cnt)| cnt)
-                .sum();
-            let frac = matched as f64 / profiles[i].rows as f64;
-            if best.is_none_or(|(bf, _)| frac > bf) {
-                best = Some((frac, j));
+        let entries = entry_off[i]..entry_off[i + 1];
+        for e in entries.clone() {
+            let k = entry_id[e] as usize;
+            for &j in &holders[holder_off[k]..holder_off[k + 1]] {
+                let j = j as usize;
+                if j != i {
+                    if matched[j] == 0 {
+                        touched.push(j);
+                    }
+                    matched[j] += entry_cnt[e];
+                }
             }
         }
-        if let Some((frac, j)) = best {
-            let excess: u32 = keys[i]
-                .iter()
-                .filter(|(k, _)| keys[j].contains_key(k))
-                .map(|(k, &cnt)| cnt.saturating_sub(*keys[j].get(k).unwrap_or(&0)))
-                .sum();
-            profiles[i].peer_match_frac = frac;
-            profiles[i].matched_peer = Some(uploads[j].client);
-            profiles[i].duplicate_excess = excess as usize;
+        let (mut frac, mut j) = (0.0, usize::from(i == 0));
+        for &t in &touched {
+            let f = matched[t] as f64 / rows as f64;
+            if f > frac || (f == frac && t < j) {
+                (frac, j) = (f, t);
+            }
+            matched[t] = 0;
         }
+        touched.clear();
+        let peer = entry_off[j]..entry_off[j + 1];
+        let (peer_ids, peer_cnts) = (&entry_id[peer.clone()], &entry_cnt[peer]);
+        let excess: u32 = entries
+            .filter_map(|e| {
+                let p = peer_ids.binary_search(&entry_id[e]).ok()?;
+                Some(entry_cnt[e].saturating_sub(peer_cnts[p]))
+            })
+            .sum();
+        peer_pos[i] = Some(j);
+        profiles[i].peer_match_frac = frac;
+        profiles[i].matched_peer = Some(uploads[j].client);
+        profiles[i].duplicate_excess = excess as usize;
     }
 
     // Detector 1: inflation / ε-abuse.
@@ -837,19 +908,17 @@ pub fn audit_uploads(
     inflators.sort_unstable();
     inflators.dedup();
 
-    // Detector 2: trace-squatting via pairwise containment.
+    // Detector 2: trace-squatting via peer containment.
     let mut squatters: Vec<usize> = Vec::new();
     for i in 0..n {
         if profiles[i].rows == 0 || profiles[i].peer_match_frac < config.squat_match_frac {
             continue;
         }
-        let j = (0..n)
-            .find(|&j| Some(uploads[j].client) == profiles[i].matched_peer)
-            .expect("matched peer is in the cohort");
+        let Some(j) = peer_pos[i] else { continue };
         // Mutual mimicry: excess copies break the tie (the cyclic refiller
         // shows them, the victim cannot); a dead-even pair is flagged whole.
         if profiles[j].peer_match_frac >= config.squat_match_frac
-            && profiles[j].matched_peer == Some(uploads[i].client)
+            && peer_pos[j] == Some(i)
             && profiles[j].duplicate_excess > profiles[i].duplicate_excess
         {
             continue; // j is the squatter of this pair, not i
@@ -1591,6 +1660,34 @@ mod tests {
             &UploadAuditConfig::default()
         )
         .is_err());
+    }
+
+    #[test]
+    fn audit_rejects_class_mask_narrower_than_activation_width() {
+        let (masks, weights) = masks_and_weights();
+        let ups = vec![upload(3, 0, &[0, 1]), upload(3, 1, &[4, 5])];
+        let narrow = vec![masks[0].clone(), Vec::new()];
+        let cfg = UploadAuditConfig::default();
+        let err = audit_uploads(&inputs(&ups, 0.0), &weights, &narrow, None, &cfg).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::LengthMismatch { what: "class mask words", expected: 1, actual: 0 }
+        );
+    }
+
+    #[test]
+    fn audit_rejects_non_finite_or_negative_weights() {
+        let (masks, mut weights) = masks_and_weights();
+        let ups = vec![upload(3, 0, &[0, 1]), upload(3, 1, &[4, 5])];
+        let cfg = UploadAuditConfig::default();
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            weights[2] = bad;
+            let err = audit_uploads(&inputs(&ups, 0.0), &weights, &masks, None, &cfg).unwrap_err();
+            assert!(
+                matches!(err, CoreError::InvalidParameter { name: "weights", .. }),
+                "weight {bad}: {err:?}"
+            );
+        }
     }
 
     #[test]

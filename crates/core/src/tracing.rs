@@ -532,7 +532,7 @@ impl ShardedTraceInputs<'_> {
 
 /// Rule weights must be finite and non-negative — the same rule
 /// [`RuleModel`] enforces, and the premise of the kernel's popcount screen.
-fn validate_weights(weights: &[f64]) -> Result<()> {
+pub(crate) fn validate_weights(weights: &[f64]) -> Result<()> {
     match weights.iter().find(|w| !w.is_finite() || **w < 0.0) {
         Some(w) => Err(CoreError::InvalidParameter {
             name: "weights",

@@ -5,7 +5,9 @@
 use std::sync::OnceLock;
 
 use ctfl::core::error::CoreError;
-use ctfl::core::robustness::{audit_uploads, slash_scores, SlashPolicy, UploadAuditConfig};
+use ctfl::core::robustness::{
+    audit_uploads, slash_scores, SlashPolicy, UploadAuditConfig, UploadAuditInput,
+};
 use ctfl::core::tracing::TraceConfig;
 use ctfl::data::partition::skew_label;
 use ctfl::data::split::train_test_split;
@@ -18,7 +20,12 @@ use ctfl::fl::score_attack::{ScoreAttackInjector, ScoreAttackKind, ScoreAttackPl
 use ctfl::nn::extract::{extract_rules, ExtractOptions};
 use ctfl::nn::net::LogicalNetConfig;
 use ctfl_rng::rngs::StdRng;
-use ctfl_rng::SeedableRng;
+use ctfl_rng::seq::SliceRandom;
+use ctfl_rng::{Rng, SeedableRng};
+use ctfl_testkit::prop::{check, Gen};
+use ctfl_testkit::prop_assert_eq;
+use std::cell::Cell;
+use std::collections::HashMap;
 
 const N_CLIENTS: usize = 5;
 
@@ -282,4 +289,280 @@ fn audit_is_reusable_outside_private_scoring() {
     .unwrap();
     assert!(audit.flagged.is_empty());
     assert_eq!(audit.profiles.len(), N_CLIENTS);
+}
+
+/// How one upload of a random audit cohort is built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CohortKind {
+    /// Random rows that almost surely share no key with anyone.
+    Fresh,
+    /// Rows drawn from a small cohort-wide pool, so keys collide often.
+    Pool,
+    /// An exact copy of an earlier upload (dead-even mutual mimicry).
+    Copy,
+    /// A prefix of an earlier upload plus fresh rows.
+    PartialCopy,
+    /// An earlier upload's rows cyclically refilled to twice its length.
+    CyclicRefill,
+    /// Equal prefixes of two earlier uploads, tying them on fraction.
+    TwoPeerTie,
+    /// An earlier upload's row words under the other label: no shared key.
+    Relabeled,
+    /// No rows at all.
+    Empty,
+}
+
+const COHORT_KINDS: [CohortKind; 8] = [
+    CohortKind::Fresh,
+    CohortKind::Pool,
+    CohortKind::Copy,
+    CohortKind::PartialCopy,
+    CohortKind::CyclicRefill,
+    CohortKind::TwoPeerTie,
+    CohortKind::Relabeled,
+    CohortKind::Empty,
+];
+
+type Row = (Vec<u64>, u32);
+
+#[derive(Debug)]
+struct AuditCase {
+    n_bits: usize,
+    weights: Vec<f64>,
+    masks: Vec<Vec<u64>>,
+    /// `(client id, kind, rows)` in upload order.
+    uploads: Vec<(usize, CohortKind, Vec<Row>)>,
+    claimed_p: f64,
+    declared: Option<Vec<usize>>,
+    squat_match_frac: f64,
+    all_identical: bool,
+}
+
+fn random_row(g: &mut Gen, n_bits: usize) -> Row {
+    let mut words: Vec<u64> = (0..n_bits.div_ceil(64)).map(|_| g.rng().gen()).collect();
+    if !n_bits.is_multiple_of(64) {
+        *words.last_mut().unwrap() &= (1u64 << (n_bits % 64)) - 1;
+    }
+    (words, g.u32_in(0, 1))
+}
+
+/// A random two-class audit cohort mixing every [`CohortKind`]. Client ids
+/// are distinct but differ from upload positions.
+fn audit_cohort(g: &mut Gen) -> AuditCase {
+    let n_bits = [8, 64, 70][g.usize_in(0, 2)];
+    let weights: Vec<f64> =
+        (0..n_bits).map(|_| if g.usize_in(0, 4) == 0 { 0.0 } else { g.f64_in(0.0, 2.0) }).collect();
+    let masks: Vec<Vec<u64>> = (0..2)
+        .map(|c| ctfl::core::ActivationMatrix::build_mask(n_bits, (c..n_bits).step_by(2)))
+        .collect();
+    let n = g.len_in(1, 8);
+    let mut clients: Vec<usize> = (0..n).map(|i| 3 * i + g.usize_in(1, 2)).collect();
+    clients.shuffle(g.rng());
+    let pool: Vec<Row> = (0..3).map(|_| random_row(g, n_bits)).collect();
+    let all_identical = g.usize_in(0, 7) == 0;
+    let mut uploads: Vec<(usize, CohortKind, Vec<Row>)> = Vec::with_capacity(n);
+    for (i, &client) in clients.iter().enumerate() {
+        let mut kind = COHORT_KINDS[g.usize_in(0, COHORT_KINDS.len() - 1)];
+        let v = if i == 0 { 0 } else { g.usize_in(0, i - 1) };
+        let w = if i < 2 { 0 } else { g.usize_in(0, i - 2) };
+        if all_identical && i > 0 {
+            kind = CohortKind::Copy;
+        } else if i == 0 && !matches!(kind, CohortKind::Pool | CohortKind::Empty)
+            || kind == CohortKind::TwoPeerTie && (i < 2 || w == v)
+        {
+            kind = CohortKind::Fresh;
+        }
+        let prior = |u: usize| uploads[if all_identical { 0 } else { u }].2.clone();
+        let rows: Vec<Row> = match kind {
+            CohortKind::Fresh => {
+                let len = g.len_in(1, 10);
+                (0..len).map(|_| random_row(g, n_bits)).collect()
+            }
+            CohortKind::Pool => {
+                let len = g.len_in(1, 10);
+                (0..len).map(|_| pool[g.usize_in(0, pool.len() - 1)].clone()).collect()
+            }
+            CohortKind::Copy => prior(v),
+            CohortKind::PartialCopy => {
+                let src = prior(v);
+                let keep = g.usize_in(0, src.len());
+                let extra = g.len_in(0, 3);
+                let fresh: Vec<Row> = (0..extra).map(|_| random_row(g, n_bits)).collect();
+                src[..keep].iter().cloned().chain(fresh).collect()
+            }
+            CohortKind::CyclicRefill => {
+                let src = prior(v);
+                (0..2 * src.len()).map(|r| src[r % src.len()].clone()).collect()
+            }
+            CohortKind::TwoPeerTie => {
+                let (a, b) = (prior(v), prior(w));
+                let m = a.len().min(b.len());
+                a[..m].iter().chain(&b[..m]).cloned().collect()
+            }
+            CohortKind::Relabeled => {
+                prior(v).into_iter().map(|(words, label)| (words, 1 - label)).collect()
+            }
+            CohortKind::Empty => Vec::new(),
+        };
+        uploads.push((client, kind, rows));
+    }
+    let claimed_p = [0.0, 0.1][g.usize_in(0, 1)];
+    let declared = g.bool().then(|| (0..3 * n).map(|_| g.usize_in(0, 12)).collect());
+    let squat_match_frac = [0.25, 0.5, 0.9, 1.0][g.usize_in(0, 3)];
+    AuditCase { n_bits, weights, masks, uploads, claimed_p, declared, squat_match_frac, all_identical }
+}
+
+/// Peer containment by the naive pairwise definition: every upload against
+/// every other in ascending order, one key lookup per row, strict `>` so
+/// the smallest index wins a tie. Returns `(fraction, peer upload index,
+/// duplicate excess)` per upload, and whether two peers tied on a nonzero
+/// best fraction.
+fn pairwise_containment(case: &AuditCase) -> (Vec<(f64, Option<usize>, usize)>, bool) {
+    let keys: Vec<HashMap<&Row, u32>> = case
+        .uploads
+        .iter()
+        .map(|(_, _, rows)| {
+            let mut map = HashMap::new();
+            for row in rows {
+                *map.entry(row).or_insert(0) += 1;
+            }
+            map
+        })
+        .collect();
+    let n = keys.len();
+    let mut tied = false;
+    let out = (0..n)
+        .map(|i| {
+            let rows = case.uploads[i].2.len();
+            if rows == 0 {
+                return (0.0, None, 0);
+            }
+            let mut best: Option<(f64, usize)> = None;
+            for j in (0..n).filter(|&j| j != i) {
+                let matched: u32 = keys[i]
+                    .iter()
+                    .filter(|(k, _)| keys[j].contains_key(*k))
+                    .map(|(_, &cnt)| cnt)
+                    .sum();
+                let frac = matched as f64 / rows as f64;
+                if best.is_none_or(|(bf, _)| frac > bf) {
+                    best = Some((frac, j));
+                } else if best.is_some_and(|(bf, _)| frac == bf && frac > 0.0) {
+                    tied = true;
+                }
+            }
+            let Some((frac, j)) = best else { return (0.0, None, 0) };
+            let excess: u32 = keys[i]
+                .iter()
+                .filter_map(|(k, &cnt)| keys[j].get(k).map(|&theirs| cnt.saturating_sub(theirs)))
+                .sum();
+            (frac, Some(j), excess as usize)
+        })
+        .collect();
+    (out, tied)
+}
+
+#[test]
+fn containment_index_matches_pairwise_oracle() {
+    // The report's containment fields, its squatter list and the flagged
+    // union are recomputed from the pairwise oracle; every other field is
+    // decided before or apart from containment and is carried over, so the
+    // whole report must compare equal.
+    let kinds_seen = Cell::new(0u32);
+    let identical_seen = Cell::new(false);
+    let single_seen = Cell::new(false);
+    let tie_seen = Cell::new(false);
+    check(
+        "containment_index_matches_pairwise_oracle",
+        192,
+        |g| {
+            let case = audit_cohort(g);
+            for (_, kind, _) in &case.uploads {
+                let bit = COHORT_KINDS.iter().position(|k| k == kind).unwrap();
+                kinds_seen.set(kinds_seen.get() | 1 << bit);
+            }
+            identical_seen.set(identical_seen.get() || case.all_identical && case.uploads.len() > 2);
+            single_seen.set(single_seen.get() || case.uploads.len() == 1);
+            case
+        },
+        |case| {
+            let acts: Vec<ctfl::core::ActivationMatrix> = case
+                .uploads
+                .iter()
+                .map(|(_, _, rows)| {
+                    let words = rows.iter().flat_map(|(w, _)| w.iter().copied()).collect();
+                    ctfl::core::ActivationMatrix::from_words(rows.len(), case.n_bits, words).unwrap()
+                })
+                .collect();
+            let labels: Vec<Vec<u32>> = case
+                .uploads
+                .iter()
+                .map(|(_, _, rows)| rows.iter().map(|&(_, l)| l).collect())
+                .collect();
+            let inputs: Vec<UploadAuditInput<'_>> = case
+                .uploads
+                .iter()
+                .zip(acts.iter().zip(&labels))
+                .map(|(&(client, _, _), (activations, labels))| UploadAuditInput {
+                    client,
+                    activations,
+                    labels,
+                    claimed_flip_probability: case.claimed_p,
+                })
+                .collect();
+            let config = UploadAuditConfig {
+                squat_match_frac: case.squat_match_frac,
+                ..UploadAuditConfig::default()
+            };
+            let report = audit_uploads(
+                &inputs,
+                &case.weights,
+                &case.masks,
+                case.declared.as_deref(),
+                &config,
+            )
+            .map_err(|e| format!("audit failed: {e:?}"))?;
+
+            let (oracle, tied) = pairwise_containment(case);
+            tie_seen.set(tie_seen.get() || tied);
+            let mut expected = report.clone();
+            for (p, &(frac, peer, excess)) in expected.profiles.iter_mut().zip(&oracle) {
+                p.peer_match_frac = frac;
+                p.matched_peer = peer.map(|j| case.uploads[j].0);
+                p.duplicate_excess = excess;
+            }
+            let thr = config.squat_match_frac;
+            let mut squatters: Vec<usize> = (0..oracle.len())
+                .filter(|&i| {
+                    let (frac, peer, excess) = oracle[i];
+                    if case.uploads[i].2.is_empty() || frac < thr {
+                        return false;
+                    }
+                    let j = peer.expect("a contained upload has a peer");
+                    let (jfrac, jpeer, jexcess) = oracle[j];
+                    !(jfrac >= thr && jpeer == Some(i) && jexcess > excess)
+                })
+                .map(|i| case.uploads[i].0)
+                .collect();
+            squatters.sort_unstable();
+            let mut flagged: Vec<usize> = expected
+                .suspected_inflators
+                .iter()
+                .chain(&squatters)
+                .chain(&expected.suspected_label_gamers)
+                .chain(&expected.suspected_budget_violators)
+                .copied()
+                .collect();
+            flagged.sort_unstable();
+            flagged.dedup();
+            expected.suspected_squatters = squatters;
+            expected.flagged = flagged;
+            prop_assert_eq!(report, expected);
+            Ok(())
+        },
+    );
+    assert_eq!(kinds_seen.get(), (1 << COHORT_KINDS.len()) - 1, "a cohort kind was never drawn");
+    assert!(identical_seen.get(), "no all-identical cohort was drawn");
+    assert!(single_seen.get(), "no single-upload cohort was drawn");
+    assert!(tie_seen.get(), "no two peers ever tied on fraction");
 }
