@@ -1,10 +1,13 @@
-//! **E8** — tracing throughput: the `O(|D_te| · |D_N|)` comparison under
-//! the three grouping strategies (paper Section III-C "Efficient
-//! Computation of CTFL"). SignatureDedup and the Max-Miner FrequentRuleSets
-//! grouping must beat BruteForce on redundant activation data.
+//! **E8** — tracing throughput: the `O(|D_te| · |D_N|)` comparison of
+//! paper Section III-C ("Efficient Computation of CTFL"). Times the trace
+//! kernel (one trace per distinct test row, word-parallel popcount screen),
+//! serial and parallel, against the pinned per-bit oracle
+//! `trace_reference` as the baseline, on archetype-redundant activation
+//! data where test-row grouping has the most to gain. The kernel's outcome
+//! is asserted equal to the oracle's before anything is timed.
 
 use ctfl_core::activation::ActivationMatrix;
-use ctfl_core::tracing::{trace, GroupingStrategy, TraceConfig, TraceInputs};
+use ctfl_core::tracing::{trace, trace_reference, TraceConfig, TraceInputs};
 use ctfl_rng::rngs::StdRng;
 use ctfl_rng::Rng;
 use ctfl_rng::SeedableRng;
@@ -78,19 +81,15 @@ fn bench_tracing() {
         weights: &s.weights,
         class_masks: &s.masks,
     };
+    let serial = TraceConfig { tau_w: 0.9, parallel: false, ..TraceConfig::default() };
+    let parallel = TraceConfig { parallel: true, ..serial };
+    assert_eq!(trace(&inputs, &serial).unwrap(), trace_reference(&inputs, &serial).unwrap());
+
     let mut group = Bencher::new("tracing_4000x800");
-    group.sample_size(10);
-    for (name, strategy) in [
-        ("brute_force", GroupingStrategy::BruteForce),
-        ("signature_dedup", GroupingStrategy::SignatureDedup),
-        ("max_miner_groups", GroupingStrategy::FrequentRuleSets { min_support: 0.05 }),
-    ] {
-        for parallel in [false, true] {
-            let id = format!("{name}/{}", if parallel { "parallel" } else { "serial" });
-            let cfg = TraceConfig { tau_w: 0.9, parallel, threads: 0, grouping: strategy };
-            group.bench(&id, || trace(&inputs, &cfg).unwrap());
-        }
-    }
+    group.sample_size(10).warmup(1);
+    group.bench("trace_reference", || trace_reference(&inputs, &serial).unwrap());
+    group.bench("kernel/serial", || trace(&inputs, &serial).unwrap());
+    group.bench("kernel/parallel", || trace(&inputs, &parallel).unwrap());
 }
 
 fn main() {

@@ -14,7 +14,7 @@ use ctfl_bench::datasets::DatasetSpec;
 use ctfl_bench::federation::{default_fl, Federation, FederationConfig, SkewMode};
 use ctfl_bench::report::Table;
 use ctfl_core::allocation::{macro_scores_multi, micro_scores, CreditDirection};
-use ctfl_core::tracing::{inputs_from_model, trace, GroupingStrategy, TraceConfig, TraceParts};
+use ctfl_core::tracing::{inputs_from_model, trace, TraceConfig, TraceParts};
 
 fn main() {
     let args = ctfl_bench::args::CommonArgs::parse();
@@ -56,7 +56,7 @@ fn main() {
     for tau_w in [0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0] {
         let outcome = trace(
             &inputs,
-            &TraceConfig { tau_w, parallel: false, threads: 0, grouping: GroupingStrategy::SignatureDedup },
+            &TraceConfig { tau_w, parallel: false, ..TraceConfig::default() },
         )
         .expect("valid inputs");
         let micro = micro_scores(&outcome, CreditDirection::Gain);
@@ -70,7 +70,7 @@ fn main() {
     // --- delta sweep (macro scores from one trace) ---
     let outcome = trace(
         &inputs,
-        &TraceConfig { tau_w: 0.9, parallel: false, threads: 0, grouping: GroupingStrategy::SignatureDedup },
+        &TraceConfig { tau_w: 0.9, parallel: false, ..TraceConfig::default() },
     )
     .expect("valid inputs");
     let deltas = [1u32, 2, 4, 8, 16, 32];

@@ -3,9 +3,9 @@
 //! The experiment harness regenerating every table and figure of the CTFL
 //! paper's evaluation (Section VI). Each binary under `src/bin` prints the
 //! rows/series of one paper artifact (see DESIGN.md §3 for the mapping);
-//! the Criterion benches under `benches/` cover the micro-performance
-//! claims (tracing strategies, Max-Miner grouping, logical forward/backward
-//! and allocation throughput).
+//! the benches under `benches/` cover the micro-performance claims (trace
+//! kernel vs its per-bit oracle, logical forward/backward, activation fill,
+//! allocation and scheme throughput).
 //!
 //! The library half hosts the shared drivers: dataset specs, federation
 //! builders, the six contribution-estimation schemes under one interface,

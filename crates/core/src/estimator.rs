@@ -27,7 +27,7 @@ pub struct CtflConfig {
     pub delta: u32,
     /// Parallelize tracing across test instances.
     pub parallel: bool,
-    /// Comparison organisation strategy.
+    /// Comparison organisation; has a single value (see [`GroupingStrategy`]).
     pub grouping: GroupingStrategy,
     /// Robustness flagging thresholds.
     pub robustness: RobustnessConfig,
@@ -221,12 +221,8 @@ impl CtflEstimator {
                 predictions: &predictions,
             },
         );
-        let trace_cfg = TraceConfig {
-            tau_w: self.config.tau_w,
-            parallel: self.config.parallel,
-            threads: 0,
-            grouping: self.config.grouping,
-        };
+        let trace_cfg =
+            TraceConfig { tau_w: self.config.tau_w, parallel: self.config.parallel, ..TraceConfig::default() };
         let outcome = trace(&inputs, &trace_cfg)?;
 
         let micro = micro_scores(&outcome, CreditDirection::Gain);

@@ -82,7 +82,7 @@ diff_gate() {
 }
 
 check() {
-    cmd_gate "build (release, all targets)" cargo build --workspace --release
+    cmd_gate "build (release, all targets)" cargo build --workspace --release --all-targets
     cmd_gate "tests (entire workspace)" cargo test -q --workspace
     # The benchmark's own suite checks the fast trace kernel against the
     # per-bit oracle on trained-width (228-rule) inputs and the pinned score

@@ -1,8 +1,9 @@
 //! End-to-end integration: data → federated training → rule extraction →
 //! contribution tracing → allocation → robustness → interpretation.
 
+use ctfl::core::allocation::{macro_scores, micro_scores, CreditDirection};
 use ctfl::core::estimator::{CtflConfig, CtflEstimator};
-use ctfl::core::tracing::GroupingStrategy;
+use ctfl::core::tracing::{inputs_from_model, trace_reference, TraceConfig, TraceParts};
 use ctfl::data::adverse::flip_labels;
 use ctfl::data::partition::skew_label;
 use ctfl::data::split::train_test_split;
@@ -62,7 +63,7 @@ fn tictactoe_pipeline_satisfies_group_rationality() {
 }
 
 #[test]
-fn grouping_strategies_agree_end_to_end() {
+fn estimator_matches_trace_reference_end_to_end() {
     let mut rng = StdRng::seed_from_u64(5);
     let data = tictactoe_endgame();
     let (train, test) = train_test_split(&data, 0.25, true, &mut rng);
@@ -71,24 +72,33 @@ fn grouping_strategies_agree_end_to_end() {
     let net = train_federated(&shards, 2, &net_config(7), &fl_config()).unwrap();
     let model = extract_rules(&net, ExtractOptions::default()).unwrap();
 
-    let run = |grouping| {
-        let estimator = CtflEstimator::new(
-            model.clone(),
-            CtflConfig { grouping, parallel: false, ..CtflConfig::default() },
-        );
-        estimator.estimate(&train, &partition.client_of, &test).unwrap()
-    };
-    let brute = run(GroupingStrategy::BruteForce);
-    let dedup = run(GroupingStrategy::SignatureDedup);
-    let mined = run(GroupingStrategy::FrequentRuleSets { min_support: 0.05 });
-    for (a, b) in brute.micro.iter().zip(&dedup.micro) {
-        assert!((a - b).abs() < 1e-12, "dedup differs: {a} vs {b}");
-    }
-    for (a, b) in brute.micro.iter().zip(&mined.micro) {
-        assert!((a - b).abs() < 1e-12, "max-miner grouping differs: {a} vs {b}");
-    }
-    assert_eq!(brute.macro_, dedup.macro_);
-    assert_eq!(brute.macro_, mined.macro_);
+    let config = CtflConfig::default();
+    let report = CtflEstimator::new(model.clone(), config)
+        .estimate(&train, &partition.client_of, &test)
+        .unwrap();
+
+    // The same trace, rebuilt by hand and run through the per-bit oracle.
+    let train_acts = model.activation_matrix(&train, false).unwrap();
+    let test_acts = model.activation_matrix(&test, false).unwrap();
+    let predictions = model.predict(&test).unwrap();
+    let n_clients = partition.client_of.iter().map(|&c| c as usize + 1).max().unwrap();
+    let inputs = inputs_from_model(
+        &model,
+        TraceParts {
+            train_acts: &train_acts,
+            train_labels: train.labels(),
+            client_of: &partition.client_of,
+            n_clients,
+            test_acts: &test_acts,
+            test_labels: test.labels(),
+            predictions: &predictions,
+        },
+    );
+    let reference =
+        trace_reference(&inputs, &TraceConfig { tau_w: config.tau_w, ..TraceConfig::default() }).unwrap();
+    assert_eq!(report.trace, reference);
+    assert_eq!(report.micro, micro_scores(&reference, CreditDirection::Gain));
+    assert_eq!(report.macro_, macro_scores(&reference, config.delta, CreditDirection::Gain).unwrap());
 }
 
 #[test]
