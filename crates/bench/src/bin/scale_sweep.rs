@@ -8,8 +8,8 @@
 //!
 //! 1. **Bit-identity at every grid point** — serial trace, parallel trace
 //!    (auto *and* forced thread counts) and the sharded-store trace all
-//!    produce the same [`TraceOutcome`]; the per-client micro scores hash
-//!    onto stdout.
+//!    produce the same [`TraceOutcome`](ctfl_core::tracing::TraceOutcome);
+//!    the per-client micro scores hash onto stdout.
 //! 2. **Sharded-vs-monolithic parity** — the sharded store flattens
 //!    word-for-word to the monolithic matrix (checked at the smallest
 //!    cells where the double-build is cheap).

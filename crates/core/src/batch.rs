@@ -9,9 +9,10 @@
 //! [`ActivationMatrix`].
 //!
 //! Compilation validates every predicate against the schema (typed
-//! [`CoreError`] variants, e.g. `KindMismatch` for a threshold predicate on
-//! a discrete column), so evaluation can assume well-typed programs and scan
-//! raw `&[f32]` / `&[u32]` slices without per-cell checks.
+//! [`CoreError`](crate::error::CoreError) variants, e.g. `KindMismatch` for
+//! a threshold predicate on a discrete column), so evaluation can assume
+//! well-typed programs and scan raw `&[f32]` / `&[u32]` slices without
+//! per-cell checks.
 
 use std::collections::HashMap;
 

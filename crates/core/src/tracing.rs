@@ -693,12 +693,13 @@ fn trace_kernel<T: TrainAccess, S: BuildHasher + Default>(
     }
 
     // Pre-group training rows by label so each test row only scans rows of
-    // its traced class.
+    // its traced class, and lay them out in the screen's bit order.
     let n_classes = test.class_masks.len();
     let mut train_by_class: Vec<Vec<u32>> = vec![Vec::new(); n_classes];
     for i in 0..n_train {
         train_by_class[train.label(i) as usize].push(i as u32);
     }
+    let store = ScreenStore::new(train, test.weights, test.class_masks, train_by_class);
 
     // Each group holds the test rows sharing one (traced class, row words)
     // key; its first member is the representative that gets traced.
@@ -714,7 +715,7 @@ fn trace_kernel<T: TrainAccess, S: BuildHasher + Default>(
     let process_chunk = |gs: &[Vec<u32>]| -> TraceAcc {
         let mut acc = TraceAcc::new(n_train, n_clients, n_rules);
         for g in gs {
-            trace_group_into(train, test, config, g, &traced_class, &denoms, &train_by_class, n_clients, &mut acc);
+            trace_group_into(train, test, config, g, &traced_class, &denoms, &store, n_clients, &mut acc);
         }
         acc
     };
@@ -784,15 +785,107 @@ fn row_groups<S: BuildHasher + Default>(acts: &ActivationMatrix, traced_class: &
 /// Entries per word in a [`PopcountScreen`] table, one per popcount `0..=64`.
 const SCREEN_ENTRIES: usize = 65;
 
-/// The exact per-word popcount screen of one test group (DESIGN.md §15).
+/// Rule indices by descending weight, ties by ascending index: the bit
+/// order of the popcount screen (DESIGN.md §15).
+fn weight_order(weights: &[f64]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..weights.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| weights[b as usize].total_cmp(&weights[a as usize]).then(a.cmp(&b)));
+    order
+}
+
+/// `src` as `words` words with each rule bit `r` moved to bit `pos[r]`.
+/// Bits at or past the rule count are dropped.
+fn permute_bits(pos: &[u32], words: usize, src: &[u64]) -> Vec<u64> {
+    let mut out = vec![0u64; words];
+    for (wi, &word) in src.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            if let Some(&p) = pos.get(wi * 64 + bits.trailing_zeros() as usize) {
+                out[p as usize / 64] |= 1 << (p % 64);
+            }
+            bits &= bits - 1;
+        }
+    }
+    out
+}
+
+/// The screen's view of one trace call, built before the workers start:
+/// weights, class masks and training rows with their rule bits reordered
+/// by [`weight_order`], so each 64-bit word holds rules of similar weight
+/// and word 0 the heaviest.
+///
+/// The permuted words only feed [`PopcountScreen`]; every related-row
+/// decision reads the original rows through [`TrainAccess`].
+struct ScreenStore {
+    /// `pos[rule]`: the rule's bit in the permuted order.
+    pos: Vec<u32>,
+    /// Rule weights in permuted order.
+    weights: Vec<f64>,
+    /// Class masks in permuted order.
+    masks: Vec<Vec<u64>>,
+    /// Training row ids of each class, in global row order.
+    rows_by_class: Vec<Vec<u32>>,
+    /// Per class: the permuted words of `rows_by_class[c]`, row after row.
+    arena: Vec<Vec<u64>>,
+    words: usize,
+}
+
+impl ScreenStore {
+    fn new<T: TrainAccess>(
+        train: &T,
+        weights: &[f64],
+        class_masks: &[Vec<u64>],
+        rows_by_class: Vec<Vec<u32>>,
+    ) -> Self {
+        let order = weight_order(weights);
+        let mut pos = vec![0u32; order.len()];
+        for (bit, &rule) in order.iter().enumerate() {
+            pos[rule as usize] = bit as u32;
+        }
+        let words = weights.len().div_ceil(64);
+        let masks = class_masks.iter().map(|mask| permute_bits(&pos, words, mask)).collect();
+        let arena = rows_by_class
+            .iter()
+            .map(|ids| {
+                ids.iter().flat_map(|&tr| permute_bits(&pos, words, train.row_words(tr as usize))).collect()
+            })
+            .collect();
+        ScreenStore {
+            weights: order.iter().map(|&rule| weights[rule as usize]).collect(),
+            pos,
+            masks,
+            rows_by_class,
+            arena,
+            words,
+        }
+    }
+
+    /// The screen of a test row (original bit order) traced in class `c`.
+    fn screen(&self, rep_words: &[u64], c: usize) -> PopcountScreen {
+        PopcountScreen::new(&permute_bits(&self.pos, self.words, rep_words), &self.masks[c], &self.weights)
+    }
+
+    /// Class `c`'s training row ids, each with its permuted words. (With
+    /// no rules every arena is empty; `max(1)` only keeps `chunks_exact`
+    /// from panicking.)
+    fn class_rows(&self, c: usize) -> impl Iterator<Item = (u32, &[u64])> {
+        self.rows_by_class[c].iter().copied().zip(self.arena[c].chunks_exact(self.words.max(1)))
+    }
+}
+
+/// The exact per-word popcount screen of one test group (DESIGN.md §15),
+/// over bits in [`weight_order`].
 ///
 /// For the group's masked test words `t`, entry `k` of word `w`'s table is
 /// the sum of the `k` largest weights among `t_w`'s set bits. A training
 /// row shares exactly `popcount(t_w & row_w)` of those bits, so
-/// `Σ_w table_w[popcount(t_w & row_w)]` is at least its Eq. 4 numerator.
+/// `Σ_w table_w[popcount(t_w & row_w)]` is at least its Eq. 4 numerator,
+/// and `rest[w]`, the sum of every later word's full entry, is the most
+/// those later words can add.
 struct PopcountScreen {
     masked: Vec<u64>,
     table: Vec<f64>,
+    rest: Vec<f64>,
 }
 
 impl PopcountScreen {
@@ -813,30 +906,42 @@ impl PopcountScreen {
                 entries[k] = entries[k - 1] + top.get(k - 1).copied().unwrap_or(0.0);
             }
         }
-        PopcountScreen { masked, table }
+        let mut rest = vec![0.0; masked.len()];
+        for w in (1..masked.len()).rev() {
+            rest[w - 1] = rest[w] + table[w * SCREEN_ENTRIES + masked[w].count_ones() as usize];
+        }
+        PopcountScreen { masked, table, rest }
     }
 
-    /// Upper bound on `triple_weight_sum_words(rep, row, mask, weights)`,
-    /// up to f64 rounding.
+    /// Whether a training row (permuted words) may reach `cut`: false once
+    /// the words seen so far, plus the most the rest can add, fall below
+    /// it. Up to f64 rounding, false means the row's Eq. 4 numerator is
+    /// below `cut`.
     #[inline]
-    fn bound(&self, row: &[u64]) -> f64 {
+    fn admits(&self, row: &[u64], cut: f64) -> bool {
         let mut ub = 0.0;
-        for ((t, r), entries) in self.masked.iter().zip(row).zip(self.table.chunks_exact(SCREEN_ENTRIES)) {
+        let words = self.masked.iter().zip(row).zip(self.table.chunks_exact(SCREEN_ENTRIES));
+        for (((t, r), entries), rest) in words.zip(&self.rest) {
             ub += entries[(t & r).count_ones() as usize];
+            if ub + rest < cut {
+                return false;
+            }
         }
-        ub
+        true
     }
 }
 
 /// Slack of the screen's cut, as a fraction of the group's denominator.
 ///
 /// The exact numerator is an f64 sum of at most `n_rules` of the
-/// denominator's (non-negative) weights; the bound sums per-word prefix
-/// sums of at most 64 of them over at most `n_rules` words. A sum of `k`
+/// denominator's (non-negative) weights. `ub + rest[w]` in
+/// [`PopcountScreen::admits`] is an f64 sum of at most
+/// `n_rules + 2 · words + 1` terms: the weights inside the per-word prefix
+/// sums, at most `2 · words` table entries and one final add. A sum of `k`
 /// non-negative terms is within `k · ε/2` of its total, so the two are off
-/// their real values by under `(n_rules + 32) · ε · denom` together. The
-/// slack is at least twice that, and 1e-9 alone covers widths below ~2M
-/// rules.
+/// their real values by under `(n_rules + words + 1) · ε · denom`
+/// together, which the slack exceeds at every width (`words <= n_rules`);
+/// 1e-9 alone covers widths below ~2M rules.
 fn screen_slack(n_rules: usize) -> f64 {
     1e-9f64.max(2.0 * (n_rules + 128) as f64 * f64::EPSILON)
 }
@@ -858,7 +963,7 @@ fn trace_group_into<T: TrainAccess>(
     members: &[u32],
     traced_class: &[usize],
     denoms: &[f64],
-    train_by_class: &[Vec<u32>],
+    store: &ScreenStore,
     n_clients: usize,
     acc: &mut TraceAcc,
 ) {
@@ -873,18 +978,17 @@ fn trace_group_into<T: TrainAccess>(
 
     if denom > 0.0 {
         let threshold = config.tau_w * denom - 1e-12; // tolerate FP rounding at equality
-        // A row whose screen bound falls below `cut` cannot reach
-        // `threshold`; every other row is decided by the exact sum.
-        let screen = PopcountScreen::new(rep_words, mask, test.weights);
+        // A row the screen does not admit cannot reach `threshold`; every
+        // other row is decided by the exact sum over its original words.
+        let screen = store.screen(rep_words, c);
         let cut = threshold - screen_slack(n_rules) * denom;
-        for &tr in &train_by_class[c] {
-            let tr = tr as usize;
-            debug_assert_eq!(train.label(tr) as usize, c);
-            let row = train.row_words(tr);
-            if screen.bound(row) < cut {
+        for (tr, screen_row) in store.class_rows(c) {
+            if !screen.admits(screen_row, cut) {
                 continue;
             }
-            let num = triple_weight_sum_words(rep_words, row, mask, test.weights);
+            let tr = tr as usize;
+            debug_assert_eq!(train.label(tr) as usize, c);
+            let num = triple_weight_sum_words(rep_words, train.row_words(tr), mask, test.weights);
             if num >= threshold {
                 related_train.push(tr as u32);
                 related_per_client[train.client(tr) as usize] += 1;
@@ -1391,6 +1495,112 @@ mod tests {
                 "weight {bad}"
             );
         }
+    }
+
+    #[test]
+    fn screen_order_puts_the_heaviest_rules_in_word_zero() {
+        assert_eq!(weight_order(&[1.0, 3.0, 3.0, 0.0, 2.0]), vec![1, 2, 4, 0, 3]);
+
+        // 130 rules weighing 0, 1, 2, 0, 1, 2, …: 43 rules of weight 2, then
+        // the first 21 of weight 1 by index, fill word 0.
+        let weights: Vec<f64> = (0..130).map(|i| (i % 3) as f64).collect();
+        let masks = vec![ActivationMatrix::build_mask(130, 0..40)];
+        let mut acts = ActivationMatrix::zeros(0, 130);
+        acts.push_row(&(0..130).map(|r| r % 5 == 0).collect::<Vec<_>>()).unwrap();
+        let train = MonoTrain { acts: &acts, labels: &[0], client_of: &[0] };
+        let store = ScreenStore::new(&train, &weights, &masks, vec![vec![0]]);
+
+        let mut word0: Vec<usize> = (0..130).filter(|&r| store.pos[r] < 64).collect();
+        word0.sort_unstable();
+        let mut expect: Vec<usize> = (0..130).filter(|r| r % 3 == 2).collect();
+        expect.extend((0..130).filter(|r| r % 3 == 1).take(21));
+        expect.sort_unstable();
+        assert_eq!(word0, expect);
+        for r in 0..130 {
+            let p = store.pos[r] as usize;
+            assert_eq!(store.weights[p], weights[r], "rule {r}");
+            assert_eq!(store.masks[0][p / 64] >> (p % 64) & 1, (r < 40) as u64, "mask bit {r}");
+            assert_eq!(store.arena[0][p / 64] >> (p % 64) & 1, (r % 5 == 0) as u64, "row bit {r}");
+        }
+        for (a, b) in (0..130).flat_map(|a| (0..130).map(move |b| (a, b))) {
+            if weights[a] == weights[b] && a < b {
+                assert!(store.pos[a] < store.pos[b], "tie {a} vs {b}");
+            }
+        }
+    }
+
+    /// SplitMix64: a seeded stream for the screen tests.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    #[test]
+    fn screen_rejects_only_rows_below_the_threshold() {
+        let mut rng = Mix(0x05c4_ee11);
+        let mut rejected = 0usize;
+        for case in 0..240 {
+            let n_rules = [1, 63, 64, 65, 129, 260][case % 6];
+            let weights: Vec<f64> = match case / 6 % 5 {
+                0 => vec![0.75; n_rules],
+                1 => (0..n_rules).map(|_| [0.5, 1.0, 2.0][rng.below(3)]).collect(),
+                2 => (0..n_rules).map(|r| 1.0 + r as f64 / 16.0).collect(),
+                3 => (0..n_rules).map(|r| if r == n_rules / 2 { 1e3 } else { rng.unit() }).collect(),
+                _ => (0..n_rules)
+                    .map(|r| if r % 2 == 0 { 0.0 } else { 10f64.powf(rng.unit() * 12.0 - 6.0) })
+                    .collect(),
+            };
+            let tau_w = [0.5, 0.9, 1.0, 0.3 + 0.7 * rng.unit()][rng.below(4)];
+            let density = 0.05 + 0.55 * rng.unit();
+            let random_row =
+                |rng: &mut Mix| -> Vec<bool> { (0..n_rules).map(|_| rng.unit() < density).collect() };
+            let mask = ActivationMatrix::build_mask(n_rules, (0..n_rules).filter(|_| rng.below(4) != 0));
+            let rep = random_row(&mut rng);
+            let mut acts = ActivationMatrix::zeros(0, n_rules);
+            for _ in 0..32 {
+                // Mostly the test row with a few bits flipped: numerators
+                // land next to the threshold.
+                let mut bits = if rng.below(4) == 0 { random_row(&mut rng) } else { rep.clone() };
+                for _ in 0..rng.below(4) {
+                    let b = rng.below(n_rules);
+                    bits[b] = !bits[b];
+                }
+                acts.push_row(&bits).unwrap();
+            }
+            let mut rep_acts = ActivationMatrix::zeros(0, n_rules);
+            rep_acts.push_row(&rep).unwrap();
+            let rep_words = rep_acts.row_words(0);
+
+            let train = MonoTrain { acts: &acts, labels: &[0; 32], client_of: &[0; 32] };
+            let masks = vec![mask.clone()];
+            let store = ScreenStore::new(&train, &weights, &masks, vec![(0..32).collect()]);
+            let denom = rep_acts.masked_weight_sum(0, &mask, &weights);
+            let threshold = tau_w * denom - 1e-12;
+            let cut = threshold - screen_slack(n_rules) * denom;
+            let screen = store.screen(rep_words, 0);
+            for (tr, screen_row) in store.class_rows(0) {
+                if !screen.admits(screen_row, cut) {
+                    rejected += 1;
+                    let row = acts.row_words(tr as usize);
+                    let num = triple_weight_sum_words(rep_words, row, &mask, &weights);
+                    assert!(num < threshold, "case {case}: row {tr} rejected at {num} >= {threshold}");
+                }
+            }
+        }
+        assert!(rejected > 1000, "the screen rejected only {rejected} rows");
     }
 
     #[test]

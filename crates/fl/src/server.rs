@@ -37,7 +37,7 @@
 use ctfl_core::data::{Dataset, FeatureKind, FeatureSchema};
 use ctfl_core::error::{CoreError, Result};
 use ctfl_nn::net::LogicalNetConfig;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -468,17 +468,20 @@ impl Default for StoreConfig {
 struct AggregationSession {
     n_clients: u32,
     dim: usize,
-    /// One slot per client; a conflicting second upload is rejected rather
-    /// than silently replaced, a bit-identical one replayed.
-    updates: Vec<Option<(Vec<f32>, u32)>>,
-    /// `Some` once every slot filled: the fused vector, or the rendered
-    /// aggregation error.
+    /// The uploads received so far, by client id. Only reported clients
+    /// take space, so the declared `n_clients` allocates nothing. A
+    /// conflicting second upload is rejected rather than silently
+    /// replaced, a bit-identical one replayed.
+    updates: BTreeMap<u32, (Vec<f32>, u32)>,
+    /// `Some` once every client reported: the fused vector, or the
+    /// rendered aggregation error.
     fused: Option<std::result::Result<Vec<f32>, String>>,
 }
 
 /// Session-level acknowledgements ([`Message::OpenSession`] replies) use
 /// this in [`Message::Ack`]'s `client` field — no real client id can
-/// collide with it because sessions are capped far below `u32::MAX`.
+/// collide with it because a client id is below its session's `u32`
+/// client count.
 pub const SESSION_ACK: u32 = u32::MAX;
 
 /// The service state that must *survive disconnects*: the job registry and
@@ -587,7 +590,7 @@ impl SessionStore {
             AggregationSession {
                 n_clients,
                 dim: dim as usize,
-                updates: vec![None; n_clients as usize],
+                updates: BTreeMap::new(),
                 fused: None,
             },
         );
@@ -618,17 +621,16 @@ impl SessionStore {
                 }
             };
         };
-        let c = client as usize;
-        if c >= open.updates.len() {
+        if client >= open.n_clients {
             return Message::Reject {
                 code: RejectCode::Invalid,
-                detail: format!("client {client} outside session of {}", open.updates.len()),
+                detail: format!("client {client} outside session of {}", open.n_clients),
             };
         }
         if let Some(fused) = &open.fused {
             // The round already completed. A bit-identical re-submission is
             // a retry of a reply the client lost: replay the completion.
-            let Some((stored, stored_w)) = &open.updates[c] else {
+            let Some((stored, stored_w)) = open.updates.get(&client) else {
                 return Message::Reject {
                     code: RejectCode::Invalid,
                     detail: format!("client {client} never reported in completed session {session}"),
@@ -662,11 +664,11 @@ impl SessionStore {
         if params.iter().any(|p| !p.is_finite()) {
             return Message::Reject {
                 code: RejectCode::Invalid,
-                detail: CoreError::NonFinite { what: "client parameter vector", index: c }
+                detail: CoreError::NonFinite { what: "client parameter vector", index: client as usize }
                     .to_string(),
             };
         }
-        if let Some((stored, stored_w)) = &open.updates[c] {
+        if let Some((stored, stored_w)) = open.updates.get(&client) {
             if *stored_w == weight && bits_equal(stored, &params) {
                 // Idempotent replay of a recorded (non-completing) upload.
                 return Message::Ack { session, client };
@@ -676,15 +678,15 @@ impl SessionStore {
                 detail: format!("client {client} already reported in session {session}"),
             };
         }
-        open.updates[c] = Some((params, weight));
-        if !open.updates.iter().all(Option::is_some) {
+        open.updates.insert(client, (params, weight));
+        if open.updates.len() < open.n_clients as usize {
             return Message::Ack { session, client };
         }
-        // Final update: fuse, cache for replay/resumption, keep the session.
+        // Final update: fuse in ascending client id, cache for
+        // replay/resumption, keep the session.
         let mut vectors = Vec::with_capacity(open.updates.len());
         let mut weights = Vec::with_capacity(open.updates.len());
-        for slot in &open.updates {
-            let (p, w) = slot.as_ref().expect("all slots filled");
+        for (p, w) in open.updates.values() {
             vectors.push(p.clone());
             weights.push(*w as usize);
         }
@@ -708,12 +710,7 @@ impl SessionStore {
                     session,
                     n_clients: s.n_clients,
                     dim: s.dim as u32,
-                    received: s
-                        .updates
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, u)| u.as_ref().map(|_| i as u32))
-                        .collect(),
+                    received: s.updates.keys().copied().collect(),
                 },
                 Some(Ok(p)) => Message::RoundComplete { session, params: p.clone() },
                 Some(Err(d)) => {
@@ -1360,6 +1357,51 @@ mod tests {
             Message::Reject { code, .. } => *code,
             other => panic!("expected Reject, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn huge_declared_session_allocates_nothing_up_front() {
+        // A session may declare up to u32::MAX clients; only received
+        // uploads take space, so opening it must not abort the server.
+        let mut service = FederationService::new(1);
+        let open = service.handle_message(Message::OpenSession { session: 9, n_clients: u32::MAX, dim: 1 });
+        assert_eq!(open, Message::Ack { session: 9, client: SESSION_ACK });
+        let client = u32::MAX - 1;
+        assert_eq!(
+            service.handle_message(Message::SubmitUpdate { session: 9, client, weight: 1, params: vec![0.5] }),
+            Message::Ack { session: 9, client }
+        );
+        assert_eq!(
+            reject_code(&service.handle_message(Message::SubmitUpdate {
+                session: 9,
+                client: u32::MAX,
+                weight: 1,
+                params: vec![0.5],
+            })),
+            RejectCode::Invalid
+        );
+        assert_eq!(
+            service.handle_message(Message::ResumeSession { session: 9 }),
+            Message::SessionStatus { session: 9, n_clients: u32::MAX, dim: 1, received: vec![client] }
+        );
+    }
+
+    #[test]
+    fn out_of_order_uploads_fuse_in_client_order() {
+        let mut service = FederationService::new(1);
+        service.handle_message(Message::OpenSession { session: 4, n_clients: 3, dim: 1 });
+        for client in [2u32, 0] {
+            let params = vec![client as f32];
+            service.handle_message(Message::SubmitUpdate { session: 4, client, weight: 1, params });
+        }
+        assert_eq!(
+            service.handle_message(Message::ResumeSession { session: 4 }),
+            Message::SessionStatus { session: 4, n_clients: 3, dim: 1, received: vec![0, 2] }
+        );
+        let done =
+            service.handle_message(Message::SubmitUpdate { session: 4, client: 1, weight: 1, params: vec![1.0] });
+        let expect = aggregate(&[vec![0.0], vec![1.0], vec![2.0]], &[1, 1, 1]).unwrap();
+        assert_eq!(done, Message::RoundComplete { session: 4, params: expect });
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Replaces `criterion` for the workspace's five bench binaries
 //! (`harness = false`): warmup, N timed iterations, median/p95/min/mean
-//! report, and one JSON line per benchmark (written with [`crate::json`],
-//! no serde) so `run_experiments.sh` and future trend tooling can scrape
-//! results mechanically.
+//! report, and one JSON line per benchmark (written with
+//! [`crate::json`](mod@crate::json), no serde) so `run_experiments.sh` and
+//! future trend tooling can scrape results mechanically.
 
 use crate::json::Json;
 use std::time::{Duration, Instant};

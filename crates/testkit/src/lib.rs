@@ -5,9 +5,9 @@
 //!
 //! * [`prop`] — a seeded property-testing harness with shrinking-by-halving
 //!   and failure-seed replay (stands in for `proptest`);
-//! * [`bench`] — a wall-clock benchmark harness reporting median/p95 with
+//! * [`bench`](mod@bench) — a wall-clock benchmark harness reporting median/p95 with
 //!   JSON-lines output (stands in for `criterion`);
-//! * [`json`] — a tiny JSON value type, writer and [`json!`] macro (stands
+//! * [`json`](mod@json) — a tiny JSON value type, writer and [`json!`] macro (stands
 //!   in for `serde_json`).
 //!
 //! Everything is deterministic by construction: the property harness derives

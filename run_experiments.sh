@@ -91,6 +91,9 @@ check() {
         cargo test --release --offline --manifest-path perfbench/Cargo.toml
     cmd_gate "lints (clippy, warnings are errors)" \
         cargo clippy --workspace --all-targets --offline -- -D warnings
+    # Intra-doc links resolve: a renamed or ambiguous item fails here.
+    cmd_gate "docs (rustdoc, warnings are errors)" \
+        env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
     # fig7 exercises the full pipeline (partition -> FedAvg -> extraction ->
     # tracing -> interpretation) including the parallel code paths, in

@@ -290,24 +290,59 @@ fn sharded_trace_is_bitwise_equal_to_monolithic_on_random_shardings() {
 const SCREEN_WIDTHS: [usize; 6] = [1, 63, 64, 65, 129, 260];
 
 /// Inputs that sit the Eq. 4 numerator on or next to the threshold, where
-/// an inadmissible screen would drop a related row.
+/// an inadmissible screen would drop a related row, over weight families
+/// that stress the screen's weight-ordered bit layout.
 fn screen_setup(g: &mut Gen) -> RandomTraceSetup {
     let n_rules = SCREEN_WIDTHS[g.usize_in(0, SCREEN_WIDTHS.len() - 1)];
-    let (weights, tau_w) = if g.bool() {
-        // Powers of two add exactly, so τ_w in {0.5, 1} makes exact ties.
-        let weights = g.vec(n_rules, |g| 2f64.powi(g.usize_in(0, 6) as i32 - 3));
-        (weights, [0.5, 1.0][g.usize_in(0, 1)])
-    } else {
-        // Fifteen decades of weight, with zeros.
-        let weights = g.vec(n_rules, |g| {
-            if g.usize_in(0, 5) == 0 {
-                0.0
-            } else {
-                10f64.powf(g.f64_in(-9.0, 6.0))
-            }
-        });
-        let tau_w = [0.5, 0.9, 1.0, g.f64_in(0.3, 1.0)][g.usize_in(0, 3)];
-        (weights, tau_w)
+    let any_tau = |g: &mut Gen| [0.5, 0.9, 1.0, g.f64_in(0.3, 1.0)][g.usize_in(0, 3)];
+    let (weights, tau_w) = match g.usize_in(0, 6) {
+        0 => {
+            // Powers of two add exactly, so τ_w in {0.5, 1} makes exact ties.
+            let weights = g.vec(n_rules, |g| 2f64.powi(g.usize_in(0, 6) as i32 - 3));
+            (weights, [0.5, 1.0][g.usize_in(0, 1)])
+        }
+        1 => {
+            // Fifteen decades of weight, with zeros.
+            let weights = g.vec(n_rules, |g| {
+                if g.usize_in(0, 5) == 0 {
+                    0.0
+                } else {
+                    10f64.powf(g.f64_in(-9.0, 6.0))
+                }
+            });
+            (weights, any_tau(g))
+        }
+        2 => {
+            // All equal: only the index tie-break orders the screen's bits.
+            let w = [0.25, 1.0, 3.0][g.usize_in(0, 2)];
+            (vec![w; n_rules], any_tau(g))
+        }
+        3 => {
+            // Two or three distinct values, so most rules tie.
+            let values = [0.5, 1.0, 1.5];
+            let k = g.usize_in(2, 3);
+            (g.vec(n_rules, |g| values[g.usize_in(0, k - 1)]), any_tau(g))
+        }
+        4 => {
+            // Strictly increasing with rule index: the reorder reverses the bits.
+            let step = g.f64_in(0.01, 1.0);
+            ((0..n_rules).map(|r| 0.5 + step * r as f64).collect(), any_tau(g))
+        }
+        5 => {
+            // One rule outweighs all the others together many times over, so
+            // it carries more than 1 - τ_w of any denominator it is part of.
+            let heavy = g.usize_in(0, n_rules - 1);
+            let mut weights = g.vec(n_rules, |g| g.f64_in(0.0, 1.0));
+            weights[heavy] = 1e3 * n_rules as f64;
+            (weights, any_tau(g))
+        }
+        _ => {
+            // Zeros interleaved with positive weights.
+            let phase = g.usize_in(0, 1);
+            let weights =
+                (0..n_rules).map(|r| if r % 2 == phase { 0.0 } else { g.f64_in(0.1, 4.0) }).collect();
+            (weights, any_tau(g))
+        }
     };
     let n_clients = g.usize_in(1, 4);
     let density = g.f64_in(0.05, 0.6);
@@ -348,7 +383,7 @@ fn screen_setup(g: &mut Gen) -> RandomTraceSetup {
 
 #[test]
 fn screened_kernel_matches_oracle_on_adversarial_inputs() {
-    check("screened_kernel_matches_oracle_on_adversarial_inputs", 96, screen_setup, |setup| {
+    check("screened_kernel_matches_oracle_on_adversarial_inputs", 256, screen_setup, |setup| {
         let b = build(setup);
         let (store, client_of) = shard_store(setup);
         let mono = TraceInputs {
